@@ -19,6 +19,7 @@
    non-zero unless every program completes with AOT-identical output
    (robustness gate).                                                *)
 
+open Proteus_support
 open Proteus_gpu
 open Proteus_hecbench
 
@@ -216,7 +217,7 @@ let table3 () =
           let m = cell a vendor Harness.Proteus_warm in
           Printf.printf " %10s"
             (if m.Harness.na then "N/A"
-             else Proteus_support.Util.human_bytes m.Harness.cache_bytes))
+             else Util.human_bytes m.Harness.cache_bytes))
         Suite.apps;
       Printf.printf "\n")
     vendors
@@ -771,7 +772,6 @@ let tier_bench () =
           in
           let s_off = st m_off and s_tier = st m_tier in
           let swap_p50 =
-            let open Proteus_support in
             if Hist.count s_tier.Stats.swap_hist = 0 then nan
             else Hist.p50 s_tier.Stats.swap_hist
           in
@@ -981,19 +981,6 @@ let serve_bench () =
 (* ------------------------------------------------------------------ *)
 (* --json: machine-readable run summary.                               *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* N/A cells carry NaN times; JSON has no literal for those, so they
    serialize as null *)
 let json_ms (s : float) =
@@ -1009,7 +996,7 @@ let write_json path ~(target_times : (string * float) list) ~(total_s : float) =
   List.iteri
     (fun i (name, s) ->
       Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %.3f%s\n" (json_escape name) s
+        (Printf.sprintf "    \"%s\": %.3f%s\n" (Util.json_escape name) s
            (if i = List.length target_times - 1 then "" else ",")))
     (List.rev target_times);
   Buffer.add_string buf "  },\n";
@@ -1022,9 +1009,9 @@ let write_json path ~(target_times : (string * float) list) ~(total_s : float) =
            "    {\"app\": \"%s\", \"vendor\": \"%s\", \"method\": \"%s\", \
             \"na\": %b, \"e2e_ms\": %s, \"kernel_ms\": %s, \
             \"jit_overhead_ms\": %s, \"cache_bytes\": %d}%s\n"
-           (json_escape m.Harness.app)
+           (Util.json_escape m.Harness.app)
            (vname m.Harness.vendor)
-           (json_escape m.Harness.meth) m.Harness.na (json_ms m.Harness.e2e_s)
+           (Util.json_escape m.Harness.meth) m.Harness.na (json_ms m.Harness.e2e_s)
            (json_ms m.Harness.kernel_s)
            (json_ms m.Harness.jit_overhead_s)
            m.Harness.cache_bytes
@@ -1048,7 +1035,7 @@ let write_json path ~(target_times : (string * float) list) ~(total_s : float) =
               \"cache_entries_all\": %d, \"cache_entries_advise\": %d, \
               \"hits_all\": %d, \"hits_advise\": %d, \"skipped_args\": %d, \
               \"advise_ms\": %s}%s\n"
-             (json_escape r.ar_app) (vname r.ar_vendor) r.ar_ok r.ar_compiles_all
+             (Util.json_escape r.ar_app) (vname r.ar_vendor) r.ar_ok r.ar_compiles_all
              r.ar_compiles_adv r.ar_compiles_none r.ar_entries_all r.ar_entries_adv
              r.ar_hits_all r.ar_hits_adv r.ar_skipped
              (json_ms r.ar_advise_s)
@@ -1071,14 +1058,14 @@ let write_json path ~(target_times : (string * float) list) ~(total_s : float) =
              "    {\"app\": \"%s\", \"vendor\": \"%s\", \"static_sites\": %d, \
               \"matched\": %d, \"agreed\": %d, \"accuracy\": %.2f, \
               \"classes\": {%s}}%s\n"
-             (json_escape r.pr_app) (vname r.pr_vendor) r.pr_static r.pr_matched
+             (Util.json_escape r.pr_app) (vname r.pr_vendor) r.pr_static r.pr_matched
              r.pr_agreed r.pr_accuracy
              (String.concat ", "
                 (List.map
                    (fun (c, m, g) ->
                      Printf.sprintf
                        "\"%s\": {\"matched\": %d, \"agreed\": %d}"
-                       (json_escape c) m g)
+                       (Util.json_escape c) m g)
                    r.pr_by_class))
              (if i = List.length prows - 1 then "" else ",")))
       prows;
@@ -1099,7 +1086,7 @@ let write_json path ~(target_times : (string * float) list) ~(total_s : float) =
              "    {\"app\": \"%s\", \"vendor\": \"%s\", \"kernels\": %d, \
               \"proven\": %d, \"unproven\": %d, \"refuted\": %d, \
               \"validate_ms\": %s}%s\n"
-             (json_escape r.tv_app) (vname r.tv_vendor) r.tv_kernels
+             (Util.json_escape r.tv_app) (vname r.tv_vendor) r.tv_kernels
              r.tv_proven r.tv_unproven r.tv_refuted (json_ms r.tv_s)
              (if i = List.length tvrows - 1 then "" else ",")))
       tvrows;
@@ -1123,7 +1110,7 @@ let write_json path ~(target_times : (string * float) list) ~(total_s : float) =
               \"tierup_count\": %d, \"tier_launches\": %d, \
               \"swap_latency_ms\": %s, \"compiles_off\": %d, \
               \"compiles_tier\": %d}%s\n"
-             (json_escape r.tr_app) (vname r.tr_vendor) r.tr_ok
+             (Util.json_escape r.tr_app) (vname r.tr_vendor) r.tr_ok
              (json_ms r.tr_first_off_s) (json_ms r.tr_first_tier_s)
              (json_ms r.tr_steady_off_s) (json_ms r.tr_steady_tier_s)
              r.tr_tierups r.tr_tier_launches
@@ -1143,7 +1130,7 @@ let write_json path ~(target_times : (string * float) list) ~(total_s : float) =
            \"compiles\": %d, \"hit_rate\": %.6f, \"p50_ms\": %.6f, \
            \"p99_ms\": %.6f, \"fallbacks\": %d, \"quarantined\": %d, \
            \"resident_bytes\": %d}"
-          (json_escape r.sr_tenant) r.sr_launches r.sr_hits r.sr_compiles
+          (Util.json_escape r.sr_tenant) r.sr_launches r.sr_hits r.sr_compiles
           r.sr_hit_rate r.sr_p50_ms r.sr_p99_ms r.sr_fallbacks r.sr_quarantined
           r.sr_resident_bytes
       in

@@ -6,6 +6,8 @@
    surfacing by default, [Info] findings are conservative "maybe"
    verdicts that only show up under --all. *)
 
+open Proteus_support
+
 type severity = Info | Warning | Error
 
 let severity_to_string = function
@@ -94,22 +96,6 @@ let dedup_sort (ts : t list) : t list =
 (* SARIF 2.1.0 export (minimal static-analysis profile: one run, one
    driver, results with physical locations).                           *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let sarif_level = function
   | Info -> "note"
   | Warning -> "warning"
@@ -156,7 +142,7 @@ let to_sarif ~(tool : string) (files : (string * t list) list) : string =
   in
   Buffer.add_string b
     "{\"version\":\"2.1.0\",\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"";
-  Buffer.add_string b (json_escape tool);
+  Buffer.add_string b (Util.json_escape tool);
   Buffer.add_string b "\",\"rules\":[";
   List.iteri
     (fun i k ->
@@ -164,8 +150,8 @@ let to_sarif ~(tool : string) (files : (string * t list) list) : string =
       Buffer.add_string b
         (Printf.sprintf
            "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"},\"defaultConfiguration\":{\"level\":\"%s\"}}"
-           (json_escape (kind_to_string k))
-           (json_escape (rule_description k))
+           (Util.json_escape (kind_to_string k))
+           (Util.json_escape (rule_description k))
            (sarif_level (rule_default_severity k))))
     rules;
   Buffer.add_string b "]}},\"results\":[";
@@ -177,15 +163,15 @@ let to_sarif ~(tool : string) (files : (string * t list) list) : string =
           if !first then first := false else Buffer.add_char b ',';
           Buffer.add_string b
             (Printf.sprintf "{\"ruleId\":\"%s\",\"level\":\"%s\""
-               (json_escape (kind_to_string t.kind))
+               (Util.json_escape (kind_to_string t.kind))
                (sarif_level t.severity));
           Buffer.add_string b
             (Printf.sprintf ",\"message\":{\"text\":\"%s (kernel %s)\"}"
-               (json_escape t.message) (json_escape t.func));
+               (Util.json_escape t.message) (Util.json_escape t.func));
           Buffer.add_string b
             (Printf.sprintf
                ",\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"%s\"}%s}}]}"
-               (json_escape file)
+               (Util.json_escape file)
                (match t.loc with
                | Some (l, c) ->
                    Printf.sprintf

@@ -674,27 +674,13 @@ let to_string ?(file = "<source>") (k : kernel_impact) : string =
     k.ranked;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | ch when Char.code ch < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
 let json_of_arg (a : arg_impact) : string =
   Printf.sprintf
     "{\"index\": %d, \"name\": \"%s\", \"type\": \"%s\", \"ptr\": %b, \"folds\": %d, \
      \"uses\": %d, \"branches\": %d, \"loops\": %d, \"loop_insts\": %d, \"addrs\": %d, \
      \"score\": %.4f, \"recommended\": %b}"
-    a.index (json_escape a.pname)
-    (json_escape (Types.to_string a.ty))
+    a.index (Util.json_escape a.pname)
+    (Util.json_escape (Types.to_string a.ty))
     a.is_ptr a.folds a.uses a.branches a.loops a.loop_insts a.addrs a.score
     a.recommended
 
@@ -702,7 +688,7 @@ let json_of_kernel ~(program : string) (k : kernel_impact) : string =
   Printf.sprintf
     "{\"program\": \"%s\", \"kernel\": \"%s\", \"nparams\": %d, \"threshold\": %g, \
      \"advise_ms\": %.4f, \"recommended\": [%s], \"launch_bounds\": %b, \"args\": [%s]}"
-    (json_escape program) (json_escape k.kernel) k.nparams k.threshold
+    (Util.json_escape program) (Util.json_escape k.kernel) k.nparams k.threshold
     (k.advise_s *. 1e3)
     (String.concat ", " (List.map string_of_int (recommended_args k)))
     (launch_recommended k)

@@ -113,7 +113,7 @@ let divergent_regions (f : Mach.mfunc) : (string list * string) list =
     | Some b -> Mach.successors b.Mach.term
     | None -> []
   in
-  let ipdom = Uniformity.ipostdoms labels succs in
+  let ipdom = Dom.ipostdoms labels succs in
   List.filter_map
     (fun (b : Mach.mblock) ->
       match b.Mach.term with

@@ -98,7 +98,7 @@ let prepare (f : Mach.mfunc) : prep =
   List.iter (fun (b : Mach.mblock) -> Hashtbl.replace pblocks b.Mach.mlab b) f.Mach.blocks;
   let labels = List.map (fun (b : Mach.mblock) -> b.Mach.mlab) f.Mach.blocks in
   let succs l = Mach.successors (Hashtbl.find pblocks l).Mach.term in
-  { pblocks; pipdom = Uniformity.ipostdoms labels succs }
+  { pblocks; pipdom = Dom.ipostdoms labels succs }
 
 let run_warp (env : kernel_env) (f : Mach.mfunc) (prep : prep) (w : wstate)
     (init_mask : int64) : unit =

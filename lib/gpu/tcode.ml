@@ -400,7 +400,7 @@ let decode (f : Mach.mfunc) : program =
   (* int-indexed immediate-postdominator table (reconvergence points) *)
   let lab_list = Array.to_list labels in
   let succs l = Mach.successors (List.nth f.Mach.blocks (bid l)).Mach.term in
-  let ipdom_s = Uniformity.ipostdoms lab_list succs in
+  let ipdom_s = Dom.ipostdoms lab_list succs in
   let ipdom =
     Array.map
       (fun l ->

@@ -1,5 +1,7 @@
 (* Dominator tree and dominance frontiers, after Cooper, Harvey &
-   Kennedy, "A Simple, Fast Dominance Algorithm". *)
+   Kennedy, "A Simple, Fast Dominance Algorithm"; and immediate
+   postdominators ([ipostdoms]), the reconvergence points used by the
+   divergence analysis, the register allocator and the SIMT executor. *)
 
 open Proteus_support
 
@@ -104,3 +106,57 @@ let preorder t =
   let entry = match t.cfg.Cfg.rpo with e :: _ -> e | [] -> Util.failf "Dom.preorder" in
   let rec go l = l :: List.concat_map go (children t l) in
   go entry
+
+(* Immediate postdominators by iterative dataflow on block label lists.
+   A virtual exit postdominates everything. *)
+let ipostdoms (labels : string list) (succs : string -> string list) :
+    string Util.Smap.t =
+  let exit_name = "<exit>" in
+  let all = labels in
+  (* postdom sets, initialised to everything *)
+  let full = Util.Sset.of_list (exit_name :: all) in
+  let pdom = ref Util.Smap.empty in
+  List.iter
+    (fun l ->
+      let init = if succs l = [] then Util.Sset.of_list [ l; exit_name ] else full in
+      pdom := Util.Smap.add l init !pdom)
+    all;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun l ->
+        let ss = succs l in
+        let meet =
+          match ss with
+          | [] -> Util.Sset.singleton exit_name
+          | s :: rest ->
+              List.fold_left
+                (fun acc s' -> Util.Sset.inter acc (Util.Smap.find s' !pdom))
+                (Util.Smap.find s !pdom) rest
+        in
+        let nv = Util.Sset.add l meet in
+        if not (Util.Sset.equal nv (Util.Smap.find l !pdom)) then begin
+          pdom := Util.Smap.add l nv !pdom;
+          changed := true
+        end)
+      all
+  done;
+  (* ipdom(l) = the postdominator of l (other than l) postdominated by
+     all other postdominators of l. *)
+  List.fold_left
+    (fun acc l ->
+      let cands = Util.Sset.remove l (Util.Smap.find l !pdom) in
+      let ip =
+        Util.Sset.fold
+          (fun c best ->
+            match best with
+            | None -> Some c
+            | Some b ->
+                (* c is "closer" if b postdominates c *)
+                let cpd = try Util.Smap.find c !pdom with Not_found -> Util.Sset.empty in
+                if Util.Sset.mem b cpd && c <> b then Some c else best)
+          cands None
+      in
+      match ip with Some ip -> Util.Smap.add l ip acc | None -> acc)
+    Util.Smap.empty all

@@ -237,7 +237,7 @@ let create ?(config = Config.default) ?(vendor = Device.Amd) ?(tenants = 4)
 
 (* ---- launching --------------------------------------------------- *)
 
-let spec_mask = lazy (Annotate.mask_of_args [ 1 ])
+let spec_mask = Annotate.mask_of_args [ 1 ]
 
 let launch (t : t) ~(tenant : int) ~(kernel : int) : unit =
   let tn = t.sv_tenants.(tenant) in
@@ -251,7 +251,7 @@ let launch (t : t) ~(tenant : int) ~(kernel : int) : unit =
         Konst.kint ~bits:64 tn.tn_y;
         Konst.ki32 t.sv_n;
       |]
-    ~spec_mask:(Lazy.force spec_mask);
+    ~spec_mask;
   tn.tn_launches <- tn.tn_launches + 1
 
 (* Serial service: the whole schedule in order on the calling domain. *)

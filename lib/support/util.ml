@@ -32,25 +32,25 @@ let hash_hex s = Fnv.to_hex (Fnv.string s)
 (* CRC32 (IEEE 802.3 polynomial, reflected); used by the persistent
    code cache to detect corrupted or truncated entries on disk. *)
 module Crc32 = struct
+  (* built eagerly: a module-level lazy value raises
+     CamlinternalLazy.Undefined when two domains force it at once *)
   let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             c :=
-               if Int32.logand !c 1l <> 0l then
-                 Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-               else Int32.shift_right_logical !c 1
-           done;
-           !c))
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
 
   let update (crc : int32) (s : string) : int32 =
-    let tbl = Lazy.force table in
     let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
     String.iter
       (fun ch ->
         let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-        c := Int32.logxor tbl.(idx) (Int32.shift_right_logical !c 8))
+        c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
       s;
     Int32.logxor !c 0xFFFFFFFFl
 
@@ -248,6 +248,24 @@ let human_bytes n =
   if n < 1024 then Printf.sprintf "%dB" n
   else if n < 1024 * 1024 then Printf.sprintf "%.1fKB" (float_of_int n /. 1024.)
   else Printf.sprintf "%.1fMB" (float_of_int n /. (1024. *. 1024.))
+
+(* JSON string-literal body: quote, backslash and the common control
+   characters in short form, other control bytes as \u00XX. *)
+let json_escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 (* Deterministic splitmix64 PRNG for workload generation. *)
 module Rng = struct

@@ -2,6 +2,7 @@
    allocation (with and without pressure), PTX round-tripping and the
    vendor register-budget rules. *)
 
+open Proteus_support
 open Proteus_ir
 open Proteus_frontend
 open Proteus_backend
@@ -66,7 +67,49 @@ let test_uniformity_control_dependence () =
       | Ir.IPhi (d, _) -> phi_div := Some (Uniformity.is_divergent uni d)
       | Ir.ISelect (d, _, _, _) -> phi_div := Some (Uniformity.is_divergent uni d)
       | _ -> ());
-  check Alcotest.(option bool) "phi under divergent branch" (Some true) !phi_div
+  check Alcotest.(option bool) "phi under divergent branch" (Some true) !phi_div;
+  (* the divergent region: a store in each arm keeps the diamond a
+     branch (no select); both arms are in the region, the join is not *)
+  let diamond guard =
+    let f =
+      Ir.find_func
+        (device_of
+           (Printf.sprintf
+              {|__global__ void k(int* v, int* w) {
+                  if (%s < 16) { v[threadIdx.x] = 1; } else { w[threadIdx.x] = 2; }
+                  v[0] = 3;
+                }|}
+              guard))
+        "k"
+    in
+    let branch =
+      List.find_map
+        (fun (b : Ir.block) ->
+          match b.Ir.term with
+          | Ir.TCondBr (_, t, e) -> Some (b.Ir.label, t, e)
+          | _ -> None)
+        f.Ir.blocks
+    in
+    match branch with
+    | Some br -> (f, Uniformity.compute f, br)
+    | None -> Alcotest.fail "diamond folded away"
+  in
+  let f, uni, (br, t, e) = diamond "threadIdx.x" in
+  let join =
+    match Ir.successors (Ir.find_block f t).Ir.term with
+    | [ j ] -> j
+    | _ -> Alcotest.fail "then-arm does not fall into a join"
+  in
+  check Alcotest.(list string) "tid branch is divergent" [ br ]
+    (Util.Sset.elements uni.Uniformity.divergent_branch_blocks);
+  Alcotest.(check bool) "then-arm in region" true (Uniformity.in_divergent_region uni t);
+  Alcotest.(check bool) "else-arm in region" true (Uniformity.in_divergent_region uni e);
+  Alcotest.(check bool) "join not in region" false (Uniformity.in_divergent_region uni join);
+  let _, uni, _ = diamond "blockIdx.x" in
+  check Alcotest.(list string) "ctaid branch is uniform" []
+    (Util.Sset.elements uni.Uniformity.divergent_branch_blocks);
+  check Alcotest.(list string) "ctaid region empty" []
+    (Util.Sset.elements uni.Uniformity.divergent_region)
 
 (* ---- isel ---- *)
 

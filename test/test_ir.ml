@@ -393,15 +393,6 @@ let test_cfg_diamond () =
   check Alcotest.(slist string compare) "join preds" [ "l"; "r" ] (Cfg.preds cfg "j");
   check Alcotest.int "all reachable" 4 (List.length cfg.Cfg.rpo)
 
-let test_dom_diamond () =
-  let f = build_diamond () in
-  let dom = Dom.compute (Cfg.build f) in
-  check Alcotest.(option string) "idom(l)" (Some "entry") (Dom.idom dom "l");
-  check Alcotest.(option string) "idom(j)" (Some "entry") (Dom.idom dom "j");
-  Alcotest.(check bool) "entry dominates j" true (Dom.dominates dom "entry" "j");
-  Alcotest.(check bool) "l does not dominate j" false (Dom.dominates dom "l" "j");
-  Alcotest.(check bool) "j in DF(l)" true (Util.Sset.mem "j" (Dom.frontier dom "l"))
-
 let build_loop () =
   let f = Ir.create_func "looper" [ ("n", Types.i32) ] Types.i32 in
   let b = Builder.create f in
@@ -425,6 +416,44 @@ let build_loop () =
   Builder.position_at b exit_;
   Builder.ret b (Some (Ir.Reg acc));
   f
+
+let ipostdoms_of (f : Ir.func) =
+  let labels = List.map (fun (b : Ir.block) -> b.Ir.label) f.Ir.blocks in
+  let succs l = Ir.successors (Ir.find_block f l).Ir.term in
+  Util.Smap.bindings (Dom.ipostdoms labels succs)
+
+let test_dom_diamond () =
+  let f = build_diamond () in
+  let dom = Dom.compute (Cfg.build f) in
+  check Alcotest.(option string) "idom(l)" (Some "entry") (Dom.idom dom "l");
+  check Alcotest.(option string) "idom(j)" (Some "entry") (Dom.idom dom "j");
+  Alcotest.(check bool) "entry dominates j" true (Dom.dominates dom "entry" "j");
+  Alcotest.(check bool) "l does not dominate j" false (Dom.dominates dom "l" "j");
+  Alcotest.(check bool) "j in DF(l)" true (Util.Sset.mem "j" (Dom.frontier dom "l"));
+  (* immediate postdominators: the reconvergence points of the SIMT
+     executor; a virtual "<exit>" postdominates every returning block *)
+  let ipdoms = Alcotest.(list (pair string string)) in
+  check ipdoms "ipostdoms diamond"
+    [ ("entry", "j"); ("j", "<exit>"); ("l", "j"); ("r", "j") ]
+    (ipostdoms_of f);
+  check ipdoms "ipostdoms loop with one exit"
+    [ ("body", "header"); ("entry", "header"); ("exit", "<exit>"); ("header", "exit") ]
+    (ipostdoms_of (build_loop ()));
+  let two_returns =
+    let f = Ir.create_func "two_returns" [ ("c", Types.TBool) ] Types.TVoid in
+    let b = Builder.create f in
+    let a = Builder.new_block b "a" in
+    let z = Builder.new_block b "z" in
+    Builder.cond_br b (Ir.Reg (snd (List.hd f.Ir.params))) a.Ir.label z.Ir.label;
+    Builder.position_at b a;
+    Builder.ret b None;
+    Builder.position_at b z;
+    Builder.ret b None;
+    f
+  in
+  check ipdoms "ipostdoms two returning blocks"
+    [ ("a", "<exit>"); ("entry", "<exit>"); ("z", "<exit>") ]
+    (ipostdoms_of two_returns)
 
 let test_loopinfo () =
   let f = build_loop () in

@@ -151,6 +151,13 @@ let test_list_index_of () =
   check Alcotest.(option int) "found" (Some 1) (Util.list_index_of (( = ) 5) [ 4; 5; 6 ]);
   check Alcotest.(option int) "missing" None (Util.list_index_of (( = ) 9) [ 4; 5; 6 ])
 
+(* ---- JSON escaping ---- *)
+
+let test_json_escape () =
+  check Alcotest.string "quote, backslash, newline, tab, control byte"
+    {|a\"b\\c\nd\te\u0001f|}
+    (Util.json_escape "a\"b\\c\nd\te\x01f")
+
 (* ---- popcount ---- *)
 
 let popcount_spec (x : int64) =
@@ -246,6 +253,7 @@ let () =
           Alcotest.test_case "clamp" `Quick test_clamp;
           Alcotest.test_case "human_bytes" `Quick test_human_bytes;
           Alcotest.test_case "list_index_of" `Quick test_list_index_of;
+          Alcotest.test_case "json_escape" `Quick test_json_escape;
         ] );
       ( "popcount",
         [
