@@ -553,9 +553,9 @@ let inject_faults () =
 (* ------------------------------------------------------------------ *)
 (* PerfLint validation (--perf-validate): compare the static
    transaction-class prediction for every global-memory site against
-   the reference executor's per-site measurement on all six HeCBench
-   apps under AOT. The static side replicates the exact AOT device
-   pipeline (frontend -> O3 -> backend input), so structural site keys
+   the executor's per-site measurement on all six HeCBench apps under
+   AOT. The static side replicates the exact AOT device pipeline
+   (frontend -> O3 -> backend input), so structural site keys
    (kernel sym, block label, mem-op ordinal, kind) line up with what
    the machine code executes. The gate is >= 90% interval agreement
    per app x vendor.                                                  *)
@@ -591,11 +591,9 @@ let perf_validate () =
           ignore (Proteus_opt.Pipeline.optimize_o3 u.Proteus_frontend.Compile.device);
           let sites = Pl.classify_module u.Proteus_frontend.Compile.device in
           let tbl = Counters.create_sites () in
-          Counters.site_profile := Some tbl;
+          let exe = Harness.compile_app a vendor Proteus_driver.Driver.Aot in
           let m =
-            Fun.protect
-              ~finally:(fun () -> Counters.site_profile := None)
-              (fun () -> Harness.run a vendor Harness.AOT)
+            Harness.of_run a vendor Harness.AOT (Proteus_driver.Driver.run ~sites:tbl exe)
           in
           let v = Pl.validate ~device:(Device.by_vendor vendor) sites tbl in
           let acc = Pl.accuracy_pct v in

@@ -17,9 +17,9 @@
       module codegen consumes) and keys every site structurally:
       (kernel symbol, block label, ordinal of the memory op within the
       block, access kind). The executor's site profiler
-      (Counters.site_profile) uses the same key, so predicted
-      transaction intervals can be compared against measured
-      fresh-line counts per site. Codegen strips dbg.loc before any
+      (Exec.launch ?sites) uses the same key, so predicted transaction
+      intervals can be compared against measured fresh-line counts
+      per site. Codegen strips dbg.loc before any
       pass runs, so structural keys — not source locations — are the
       only stable join. Isel lowers each IR memory op to exactly one
       machine memory op, preserves block labels, and neither critical
@@ -162,8 +162,8 @@ let kind_name = function
   | Counters.Katomic -> "atomic"
 
 (* Walk one function, numbering memory ops per block in code order —
-   the same ordinals the reference executor assigns to the lowered
-   Old/Ost/Oatomic instructions. *)
+   the same ordinals Tcode assigns to the lowered Old/Ost/Oatomic
+   instructions. *)
 let classify_func (m : Ir.modul) (f : Ir.func) : static_site list =
   let sx = Addrsym.create ~phi_linear:true m f in
   let sites = ref [] in

@@ -82,10 +82,13 @@ type run_result = {
   rt : Gpurt.ctx; (* post-run context, for profiling reports *)
 }
 
-(* Execute a compiled program on a fresh simulated device. *)
-let run ?(config = Config.default) ?(cost = Costmodel.default) (exe : exe) : run_result =
+(* Execute a compiled program on a fresh simulated device. [?sites]
+   profiles every kernel launch's memory sites into the table. *)
+let run ?(config = Config.default) ?(cost = Costmodel.default) ?sites (exe : exe) :
+    run_result =
   let device = Device.by_vendor exe.vendor in
   let rt = Gpurt.create ~cost device in
+  rt.Gpurt.exec_sites <- sites;
   (* loading the executable loads the embedded fatbinary *)
   let _lm = Gpurt.load_module rt exe.fatbin in
   let jit =

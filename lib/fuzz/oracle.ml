@@ -3,10 +3,10 @@
    (a) frontend/interpreter: pp->reparse roundtrip equality, then the
        IR interpreter over the unoptimized (O0) module vs the same
        module after the O3 pipeline - bit-identical memory;
-   (b) IR interpreter vs the backend executors: the reference,
-       threaded and multicore engines must reproduce the interpreter's
-       memory exactly, and agree among themselves on every performance
-       counter and the simulated kernel timing;
+   (b) IR interpreter vs the backend executor: the serial threaded
+       engine must reproduce the interpreter's memory exactly, and the
+       multicore schedule must match the serial one on memory, every
+       performance counter and the simulated kernel timing;
    (c) JIT specialization: extract -> bitcode roundtrip -> RCF+LB
        specialization -> O3 -> codegen must produce bit-identical
        outputs to the unspecialized path (the paper's core claim);
@@ -258,22 +258,13 @@ let interp_run (m : Ir.modul) (k : Gen.kernel) (l : Gen.launch) : string =
 
 (* ---- execution: backend engines over compiled machine code ---- *)
 
-type engine = Reference | Threaded | Multicore
-
-let engine_name = function
-  | Reference -> "reference"
-  | Threaded -> "threaded"
-  | Multicore -> "multicore"
-
-let machine_run engine (mk : Mach.mfunc) (k : Gen.kernel) (l : Gen.launch) :
+let machine_run ~domains (mk : Mach.mfunc) (k : Gen.kernel) (l : Gen.launch) :
     string * Counters.t * float =
   let rig = make_rig k l in
   let dev = Device.mi250x in
   let l2 = L2cache.create dev in
-  let reference = engine = Reference in
-  let domains = match engine with Multicore -> 4 | _ -> 1 in
   let r =
-    Exec.launch ~reference ~domains ~device:dev ~mem:rig.mem ~l2
+    Exec.launch ~domains ~device:dev ~mem:rig.mem ~l2
       ~symbols:(global_of rig) mk ~grid:l.Gen.grid ~block:l.Gen.block ~args:rig.args
   in
   let dur =
@@ -337,27 +328,21 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
           if snap0 <> snap3 then
             failf "a" "O0 vs O3 interpretation: %s" (snap_diff snap0 snap3);
           tick ());
-    (* (b): interpreter vs the three backend engines *)
+    (* (b): interpreter vs the serial engine, serial vs multicore *)
     if sel "b" then
       guard "b" (fun () ->
           let obj = Gcn.compile m3 in
           let mk = Mach.find_kernel obj gk.Gen.sym in
-          let sr, cr, dr = machine_run Reference mk gk l in
-          let st, ct, dt = machine_run Threaded mk gk l in
-          let sm, cm, dm = machine_run Multicore mk gk l in
-          if sr <> snap0 then
-            failf "b" "reference engine vs interpreter: %s" (snap_diff sr snap0);
+          let st, ct, dt = machine_run ~domains:1 mk gk l in
+          let sm, cm, dm = machine_run ~domains:4 mk gk l in
+          if st <> snap0 then
+            failf "b" "threaded engine vs interpreter: %s" (snap_diff st snap0);
           tick ();
-          List.iter
-            (fun (nm, s, c, d) ->
-              if s <> sr then
-                failf "b" "%s engine memory vs reference: %s" nm (snap_diff s sr);
-              if c <> cr then failf "b" "%s engine counters differ from reference" nm;
-              if d <> dr then
-                failf "b" "%s engine simulated time differs from reference" nm;
-              tick ())
-            [ ("threaded", st, ct, dt); ("multicore", sm, cm, dm) ])
-    else ignore (engine_name Reference);
+          if sm <> st then
+            failf "b" "multicore engine memory vs threaded: %s" (snap_diff sm st);
+          if cm <> ct then failf "b" "multicore engine counters differ from threaded";
+          if dm <> dt then failf "b" "multicore engine simulated time differs from threaded";
+          tick ());
     (* (c): specialized vs unspecialized execution *)
     if sel "c" then
       guard "c" (fun () ->
@@ -394,7 +379,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
           let dev = Device.mi250x in
           let l2 = L2cache.create dev in
           ignore
-            (Exec.launch ~reference:false ~domains:1 ~device:dev ~mem:rig.mem ~l2
+            (Exec.launch ~domains:1 ~device:dev ~mem:rig.mem ~l2
                ~symbols:(global_of rig) mk ~grid:l.Gen.grid ~block:l.Gen.block
                ~args:rig.args);
           let snapc = snapshot rig in
@@ -446,7 +431,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
           let dev = Device.mi250x in
           let l2 = L2cache.create dev in
           ignore
-            (Exec.launch ~reference:false ~domains:1 ~device:dev ~mem:rig.mem ~l2
+            (Exec.launch ~domains:1 ~device:dev ~mem:rig.mem ~l2
                ~symbols:(global_of rig) mk ~grid:l.Gen.grid ~block:l.Gen.block
                ~args:rig.args);
           let snape = snapshot rig in
@@ -467,14 +452,10 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
           let dev = Device.mi250x in
           let l2 = L2cache.create dev in
           let tbl = Counters.create_sites () in
-          Counters.site_profile := Some tbl;
-          Fun.protect
-            ~finally:(fun () -> Counters.site_profile := None)
-            (fun () ->
-              ignore
-                (Exec.launch ~reference:true ~domains:1 ~device:dev
-                   ~mem:rig.mem ~l2 ~symbols:(global_of rig) mk
-                   ~grid:l.Gen.grid ~block:l.Gen.block ~args:rig.args));
+          ignore
+            (Exec.launch ~sites:tbl ~device:dev ~mem:rig.mem ~l2
+               ~symbols:(global_of rig) mk ~grid:l.Gen.grid ~block:l.Gen.block
+               ~args:rig.args);
           let line = dev.Device.l2_line in
           List.iter
             (fun (ss : Pl.static_site) ->
@@ -546,7 +527,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
             for r = 0 to rounds - 1 do
               let mk = if r < switch_at then mk0 else mk1 in
               ignore
-                (Exec.launch ~reference:false ~domains:1 ~device:dev ~mem:rig.mem
+                (Exec.launch ~domains:1 ~device:dev ~mem:rig.mem
                    ~l2 ~symbols:(global_of rig) mk ~grid:l.Gen.grid
                    ~block:l.Gen.block ~args:rig.args)
             done;
@@ -638,7 +619,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
                 let dev = Device.mi250x in
                 let l2 = L2cache.create dev in
                 ignore
-                  (Exec.launch ~reference:false ~domains:1 ~device:dev
+                  (Exec.launch ~domains:1 ~device:dev
                      ~mem:rig.mem ~l2 ~symbols:(global_of rig) mk
                      ~grid:l.Gen.grid ~block:l.Gen.block ~args:rig.args);
                 let snapc = snapshot rig in

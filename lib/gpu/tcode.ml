@@ -1,11 +1,6 @@
 (* Threaded code: a Mach.mfunc pre-decoded once per kernel into flat
-   arrays the SIMT executor can run without per-instruction overhead.
-
-   The reference interpreter (Exec.run_warp) re-resolves [List.nth]
-   operand lists, [Option.get] destinations, string block labels and a
-   string-keyed ipdom map on every dynamic instruction, and allocates
-   [Konst.t] boxes per lane per memory access. Decoding replaces all of
-   that with integer block ids, an int-indexed ipdom table, and
+   arrays the SIMT executor (Exec) runs without per-instruction
+   overhead: integer block ids, an int-indexed ipdom table, and
    per-instruction records whose operands are already split into
    int-context / float-context accessors - the classic
    threaded-code/pre-decoding transformation (OCamlJIT 2.0 lineage).
@@ -15,10 +10,20 @@
    per-kernel program; the JIT attaches programs to code-cache entries
    as a third cache tier) and by all domains of a multicore launch.
 
-   Semantics note: every operation here must be bit-identical to the
-   reference interpreter - the differential qcheck/HeCBench tests and
-   the "paper tables unchanged" gate both depend on it. When editing,
-   change Exec.run_warp first and mirror the semantics here. *)
+   Decoding an instruction is total: a construct the executor cannot
+   run (an unknown query or atomic, a bad cast, a math arity mismatch,
+   a malformed operand list) decodes to [TTrap], which raises
+   [Exec.Trap] only if it is reached, so a kernel that carries such
+   dead code still launches. Only a malformed CFG (no blocks, a branch
+   to a missing label) fails the decode.
+
+   Every load, store and atomic carries its site: the structural
+   (kernel, block label, in-block memory-op ordinal, kind) key that
+   PerfLint's static classifier derives from the optimized IR, plus
+   the access width and address space, so a profiled launch records
+   per-site transactions without any run-time bookkeeping. Ordinals
+   count loads, stores and atomics of any space in code order and
+   restart at each block; spills are not counted. *)
 
 open Proteus_support
 open Proteus_ir
@@ -36,14 +41,14 @@ type fsrc =
   | FV of int
   | FS of int
   | FK of float (* constant, via Konst.as_float *)
-  | FBad (* float read of a symbol: traps like the reference *)
+  | FBad (* float read of a symbol: traps when read *)
 
 (* Destination register: class resolved, no Option.get at run time. *)
 type tdst = DV of int | DS of int
 
 (* Integer binops with the type-directed semantics of
    [Konst.as_int (Konst.binop op (kint ~bits x) (kint ~bits y))]
-   specialized away from Konst boxing (see Exec_t.ibinop). *)
+   specialized away from Konst boxing (see Exec.ibin). *)
 type ibinop =
   | BAdd | BSub | BMul | BSDiv | BSRem
   | BAnd | BOr | BXor | BShl | BLShr | BAShr
@@ -87,14 +92,20 @@ type tquery =
    the executor dispatches on the tag and calls the C external directly,
    which (unlike a call through a captured [float -> float]) keeps the
    operand and result unboxed in the per-lane loop. Unknown names fall
-   through to Ir.Intrinsics at run time, preserving the reference
-   interpreter's trap-on-execute behaviour. *)
+   through to Ir.Intrinsics at run time, which traps on execute. *)
 type math1 =
   | M1Sqrt | M1Rsqrt | M1Exp | M1Log | M1Sin | M1Cos
   | M1Fabs | M1Floor | M1Ceil | M1Tanh
   | M1Gen of string
 
 type math2 = M2Pow | M2Atan2 | M2Gen of string
+
+(* Static description of one memory-op site, built at decode time. *)
+type site = {
+  skey : Counters.site_key;
+  swidth : int; (* access width in bytes *)
+  sscratch : bool; (* scratch (local) address space *)
+}
 
 type tinstr =
   | TIBin of ibinop * int * tdst * isrc * isrc (* bits *)
@@ -110,14 +121,14 @@ type tinstr =
       (* exactly one of the operands is live, per the cast kind *)
   | TMovI of tdst * isrc
   | TMovF of tdst * fsrc
-  | TLd of Mach.space * mty * tdst * isrc (* addr *)
-  | TSt of Mach.space * mty * isrc * fsrc * isrc
+  | TLd of site * mty * tdst * isrc (* addr *)
+  | TSt of site * mty * isrc * fsrc * isrc
       (* int value | float value (per mty), addr *)
   | TQuery of tquery * tdst
   | TMath1 of math1 * bool * tdst * fsrc (* round to f32 *)
   | TMath2 of math2 * bool * tdst * fsrc * fsrc
   | TFma of bool * tdst * fsrc * fsrc * fsrc
-  | TAtomic of atomic * tdst option * isrc * isrc * fsrc
+  | TAtomic of site * atomic * tdst option * isrc * isrc * fsrc
       (* addr, int operand, float operand (one live per atomic) *)
   | TBarrier
   | TFrame of tdst * int64 (* immediate offset *)
@@ -125,6 +136,7 @@ type tinstr =
   | TSpillStS of int * int (* slot, scalar reg *)
   | TSpillStV of int * int (* slot, vector reg *)
   | TSpillLd of int * tdst
+  | TTrap of string (* raises Exec.Trap with this message when reached *)
 
 type tterm = TTbr of int | TTcbr of isrc * int * int | TTret
 
@@ -134,21 +146,19 @@ type program = {
   tf : Mach.mfunc; (* the decoded function; used for identity checks *)
   entry : int;
   blocks : tblock array;
-  labels : string array; (* block id -> label, for trap messages *)
   ipdom : int array; (* block id -> reconvergence block id, -1 = <exit> *)
   has_atomics : bool; (* forces the serial (single-domain) schedule *)
   has_barriers : bool;
 }
 
-exception Decode_error of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
+(* A [Failure] raised while decoding an instruction becomes [TTrap]. *)
+let fail = Util.failf
 
 let ibits_of = function
   | Types.TBool -> 1
   | Types.TInt b -> b
   | Types.TPtr _ -> 64
-  | t -> fail "Tcode.ibits_of: %s" (Types.to_string t)
+  | t -> fail "integer operand of type %s" (Types.to_string t)
 
 let is_float_ty = function Types.TFloat _ -> true | _ -> false
 let fbits_of = function Types.TFloat b -> b | _ -> 64
@@ -171,7 +181,7 @@ let dst_of (d : Mach.reg option) : tdst =
   match d with
   | Some { Mach.rid; rcls = Mach.CV } -> DV rid
   | Some { Mach.rid; rcls = Mach.CS } -> DS rid
-  | None -> fail "Tcode: instruction missing destination"
+  | None -> fail "instruction missing destination"
 
 let mty_of (ty : Types.ty) : mty =
   match ty with
@@ -182,14 +192,14 @@ let mty_of (ty : Types.ty) : mty =
   | Types.TFloat 32 -> MF32
   | Types.TFloat _ -> MF64
   | Types.TPtr _ -> MI64
-  | Types.TVoid | Types.TArr _ -> fail "Tcode.mty_of: %s" (Types.to_string ty)
+  | Types.TVoid | Types.TArr _ -> fail "memory access of type %s" (Types.to_string ty)
 
 let mty_is_float = function MF32 | MF64 -> true | _ -> false
 
 let nth srcs i =
   match List.nth_opt srcs i with
   | Some s -> s
-  | None -> fail "Tcode: missing operand %d" i
+  | None -> fail "missing operand %d" i
 
 let ibinop_of (op : Ops.binop) : ibinop =
   match op with
@@ -206,7 +216,7 @@ let ibinop_of (op : Ops.binop) : ibinop =
   | Ops.AShr -> BAShr
   | Ops.SMin -> BSMin
   | Ops.SMax -> BSMax
-  | _ -> fail "Tcode: int binop expected, got %s" (Ops.binop_to_string op)
+  | _ -> fail "float binop %s on int type" (Ops.binop_to_string op)
 
 let fbinop_of (op : Ops.binop) : fbinop =
   match op with
@@ -217,7 +227,7 @@ let fbinop_of (op : Ops.binop) : fbinop =
   | Ops.FRem -> BFRem
   | Ops.FMin -> BFMin
   | Ops.FMax -> BFMax
-  | _ -> fail "Tcode: float binop expected, got %s" (Ops.binop_to_string op)
+  | _ -> fail "int binop on float type"
 
 let math1_of = function
   | "math.sqrt" -> M1Sqrt
@@ -250,9 +260,11 @@ let query_of = function
   | "gpu.nctaid.x" -> QNctaidX
   | "gpu.nctaid.y" -> QNctaidY
   | "gpu.nctaid.z" -> QNctaidZ
-  | q -> fail "Tcode: unknown query %s" q
+  | q -> fail "unknown query %s" q
 
-let decode_instr (i : Mach.minstr) : tinstr =
+(* [site kind width scratch] is the site of the memory op being decoded. *)
+let decode_instr (site : Counters.access_kind -> int -> bool -> site)
+    (i : Mach.minstr) : tinstr =
   match i.Mach.op with
   | Mach.Obin (op, ty) ->
       if is_float_ty ty then begin
@@ -299,19 +311,22 @@ let decode_instr (i : Mach.minstr) : tinstr =
         | Ops.Bitcast, false, true -> (CBitIF, isrc_of a, dead_f)
         | Ops.Bitcast, true, false -> (CBitFI, dead_i, fsrc_of a)
         | Ops.Bitcast, false, false -> (CBitII, isrc_of a, dead_f)
-        | _ -> fail "Tcode: bad cast"
+        | _ -> fail "bad cast"
       in
       TCast (cast, dst_of i.Mach.dst, ia, fa)
   | Mach.Omov ty ->
       if is_float_ty ty then TMovF (dst_of i.Mach.dst, fsrc_of (nth i.Mach.srcs 0))
       else TMovI (dst_of i.Mach.dst, isrc_of (nth i.Mach.srcs 0))
   | Mach.Old (space, ty) ->
-      TLd (space, mty_of ty, dst_of i.Mach.dst, isrc_of (nth i.Mach.srcs 0))
+      let mty = mty_of ty in
+      let s = site Counters.Kload (Types.size_of ty) (space = Mach.SScratch) in
+      TLd (s, mty, dst_of i.Mach.dst, isrc_of (nth i.Mach.srcs 0))
   | Mach.Ost (space, ty) ->
       let mty = mty_of ty in
+      let s = site Counters.Kstore (Types.size_of ty) (space = Mach.SScratch) in
       let v = nth i.Mach.srcs 0 and p = nth i.Mach.srcs 1 in
-      if mty_is_float mty then TSt (space, mty, IK 0L, fsrc_of v, isrc_of p)
-      else TSt (space, mty, isrc_of v, FK 0.0, isrc_of p)
+      if mty_is_float mty then TSt (s, mty, IK 0L, fsrc_of v, isrc_of p)
+      else TSt (s, mty, isrc_of v, FK 0.0, isrc_of p)
   | Mach.Oquery q -> TQuery (query_of q, dst_of i.Mach.dst)
   | Mach.Omath (name, ty) -> (
       let r32 = fbits_of ty = 32 in
@@ -321,14 +336,14 @@ let decode_instr (i : Mach.minstr) : tinstr =
       | [ a; b ] -> TMath2 (math2_of name, r32, d, fsrc_of a, fsrc_of b)
       | [ a; b; c ] when name = "math.fma" ->
           TFma (r32, d, fsrc_of a, fsrc_of b, fsrc_of c)
-      | _ -> fail "Tcode: math arity %s" name)
+      | _ -> fail "math arity %s" name)
   | Mach.Oatomic name ->
       let kind =
         match name with
         | "gpu.atomic.add.f32" -> AAddF32
         | "gpu.atomic.add.f64" -> AAddF64
         | "gpu.atomic.add.i32" -> AAddI32
-        | n -> fail "Tcode: atomic %s" n
+        | n -> fail "atomic %s" n
       in
       let p = nth i.Mach.srcs 0 and v = nth i.Mach.srcs 1 in
       let dst =
@@ -342,7 +357,8 @@ let decode_instr (i : Mach.minstr) : tinstr =
         | AAddI32 -> (isrc_of v, FK 0.0)
         | AAddF32 | AAddF64 -> (IK 0L, fsrc_of v)
       in
-      TAtomic (kind, dst, isrc_of p, iv, fv)
+      let s = site Counters.Katomic (if kind = AAddF64 then 8 else 4) false in
+      TAtomic (s, kind, dst, isrc_of p, iv, fv)
   | Mach.Obarrier -> TBarrier
   | Mach.Oframe ->
       let off =
@@ -354,11 +370,11 @@ let decode_instr (i : Mach.minstr) : tinstr =
       match nth i.Mach.srcs 0 with
       | Mach.Rs { Mach.rcls = Mach.CS; rid } -> TSpillStS (slot, rid)
       | Mach.Rs { Mach.rcls = Mach.CV; rid } -> TSpillStV (slot, rid)
-      | _ -> fail "Tcode: spill of non-register")
+      | _ -> fail "spill of non-register")
   | Mach.Ospill_ld slot -> TSpillLd (slot, dst_of i.Mach.dst)
 
 let decode (f : Mach.mfunc) : program =
-  if f.Mach.blocks = [] then fail "Tcode.decode: kernel %s has no blocks" f.Mach.sym;
+  if f.Mach.blocks = [] then Util.failf "Tcode.decode: kernel %s has no blocks" f.Mach.sym;
   let n = List.length f.Mach.blocks in
   let labels = Array.make n "" in
   let id_of : (string, int) Hashtbl.t = Hashtbl.create (2 * n) in
@@ -370,33 +386,36 @@ let decode (f : Mach.mfunc) : program =
   let bid lab =
     match Hashtbl.find_opt id_of lab with
     | Some i -> i
-    | None -> fail "Tcode.decode: no block %s in %s" lab f.Mach.sym
+    | None -> Util.failf "Tcode.decode: no block %s in %s" lab f.Mach.sym
   in
   let has_atomics = ref false and has_barriers = ref false in
-  let blocks =
-    Array.of_list
-      (List.map
-         (fun (b : Mach.mblock) ->
-           let tcode =
-             Array.of_list
-               (List.map
-                  (fun i ->
-                    (match i.Mach.op with
-                    | Mach.Oatomic _ -> has_atomics := true
-                    | Mach.Obarrier -> has_barriers := true
-                    | _ -> ());
-                    decode_instr i)
-                  b.Mach.code)
-           in
-           let tterm =
-             match b.Mach.term with
-             | Mach.Tbr l -> TTbr (bid l)
-             | Mach.Tcbr (c, t, e) -> TTcbr (isrc_of c, bid t, bid e)
-             | Mach.Tret -> TTret
-           in
-           { tcode; tterm })
-         f.Mach.blocks)
+  let decode_block (b : Mach.mblock) =
+    let ord = ref 0 in
+    let site sk_kind swidth sscratch =
+      let skey =
+        { Counters.sk_sym = f.Mach.sym; sk_block = b.Mach.mlab; sk_ord = !ord; sk_kind }
+      in
+      { skey; swidth; sscratch }
+    in
+    let instr (i : Mach.minstr) =
+      let ti = try decode_instr site i with Failure msg -> TTrap msg in
+      if Mach.is_mem_op i.Mach.op then incr ord;
+      (match i.Mach.op with
+      | Mach.Oatomic _ -> has_atomics := true
+      | Mach.Obarrier -> has_barriers := true
+      | _ -> ());
+      ti
+    in
+    let tcode = Array.of_list (List.map instr b.Mach.code) in
+    let tterm =
+      match b.Mach.term with
+      | Mach.Tbr l -> TTbr (bid l)
+      | Mach.Tcbr (c, t, e) -> TTcbr (isrc_of c, bid t, bid e)
+      | Mach.Tret -> TTret
+    in
+    { tcode; tterm }
   in
+  let blocks = Array.of_list (List.map decode_block f.Mach.blocks) in
   (* int-indexed immediate-postdominator table (reconvergence points) *)
   let lab_list = Array.to_list labels in
   let succs l = Mach.successors (List.nth f.Mach.blocks (bid l)).Mach.term in
@@ -413,7 +432,6 @@ let decode (f : Mach.mfunc) : program =
     tf = f;
     entry = 0;
     blocks;
-    labels;
     ipdom;
     has_atomics = !has_atomics;
     has_barriers = !has_barriers;
@@ -421,6 +439,6 @@ let decode (f : Mach.mfunc) : program =
 
 (* A program may be scheduled across domains when re-ordering its
    thread-blocks cannot change results: atomics serialize through
-   global memory with a defined (launch-order) result in the reference
-   executor, so they force the serial schedule. *)
+   global memory with a defined (launch-order) result in the serial
+   schedule, so they force it. *)
 let parallel_safe p = not p.has_atomics

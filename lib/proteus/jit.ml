@@ -687,10 +687,10 @@ let jit_launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : i
     | `Entry entry ->
         let k = Mach.find_kernel entry.Cachestore.obj sym in
         (* decoded-code tier: reuse the threaded program attached to this
-           cache entry, or decode once and attach it. Undecodable kernels
-           leave nothing attached; the executor runs them on the reference
-           interpreter. Ladder step 1 (and below) disables the tier: the
-           interpreter path trades speed for decoded-code memory. *)
+           cache entry, or decode once and attach it. Ladder step 1 (and
+           below) disables the tier to save its memory: nothing is
+           attached, and the runtime's per-symbol program table serves
+           the launch instead. *)
         let tcode =
           if t.degrade_level >= 1 then None
           else
@@ -698,14 +698,12 @@ let jit_launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : i
             | Some p when p.Tcode.tf == k ->
                 t.stats.Stats.tcode_hits <- t.stats.Stats.tcode_hits + 1;
                 Some p
-            | _ -> (
-                match Tcode.decode k with
-                | p ->
-                    t.stats.Stats.tcode_decodes <- t.stats.Stats.tcode_decodes + 1;
-                    entry.Cachestore.tcodes <-
-                      (sym, p) :: List.remove_assoc sym entry.Cachestore.tcodes;
-                    Some p
-                | exception Tcode.Decode_error _ -> None)
+            | _ ->
+                let p = Tcode.decode k in
+                t.stats.Stats.tcode_decodes <- t.stats.Stats.tcode_decodes + 1;
+                entry.Cachestore.tcodes <-
+                  (sym, p) :: List.remove_assoc sym entry.Cachestore.tcodes;
+                Some p
         in
         Gpurt.launch_mfunc t.rt ?tcode k ~grid ~block ~args;
         entry.Cachestore.tier

@@ -43,10 +43,9 @@ type ctx = {
   (* block-level parallelism for the executor; 0 = automatic
      (PROTEUS_EXEC_DOMAINS or the domain count the OS recommends) *)
   mutable exec_domains : int;
-  (* force the reference interpreter engine; the differential tests use
-     this to compare it against the threaded/multicore engines on whole
-     applications *)
-  mutable exec_reference : bool;
+  (* per-site memory-transaction profile: when set, every launch records
+     its load/store/atomic issues here (PerfLint validation) *)
+  mutable exec_sites : Counters.site_table option;
 }
 
 let create ?(cost = Costmodel.default) (device : Device.t) : ctx =
@@ -65,7 +64,7 @@ let create ?(cost = Costmodel.default) (device : Device.t) : ctx =
     tcode_decodes = 0;
     tcode_hits = 0;
     exec_domains = 0;
-    exec_reference = false;
+    exec_sites = None;
   }
 
 let charge_api ctx = Clock.advance ctx.clock ctx.cost.Costmodel.api_call_s
@@ -183,25 +182,22 @@ let read_device_bytes ctx addr len =
    already hold a decoded program (the JIT's code cache attaches one to
    each cache entry) pass it via [?tcode]; otherwise the per-context
    symbol table answers, re-decoding only when the kernel under that
-   symbol changed. Kernels the decoder does not cover return None and
-   run on the reference interpreter. *)
-let get_tcode ctx ?tcode (k : Mach.mfunc) : Tcode.program option =
+   symbol changed. Decoding is total, so every kernel gets a program. *)
+let get_tcode ctx ?tcode (k : Mach.mfunc) : Tcode.program =
   match tcode with
   | Some p when p.Tcode.tf == k ->
       ctx.tcode_hits <- ctx.tcode_hits + 1;
-      Some p
+      p
   | _ -> (
       match Hashtbl.find_opt ctx.tcodes k.Mach.sym with
       | Some p when p.Tcode.tf == k ->
           ctx.tcode_hits <- ctx.tcode_hits + 1;
-          Some p
-      | _ -> (
-          match Tcode.decode k with
-          | p ->
-              ctx.tcode_decodes <- ctx.tcode_decodes + 1;
-              Hashtbl.replace ctx.tcodes k.Mach.sym p;
-              Some p
-          | exception Tcode.Decode_error _ -> None))
+          p
+      | _ ->
+          let p = Tcode.decode k in
+          ctx.tcode_decodes <- ctx.tcode_decodes + 1;
+          Hashtbl.replace ctx.tcodes k.Mach.sym p;
+          p)
 
 (* Tiered hot swap: when the JIT publishes a new generation of a
    kernel's object it drops the decoded program cached under that
@@ -213,10 +209,10 @@ let invalidate_tcode ctx (sym : string) : unit = Hashtbl.remove ctx.tcodes sym
 let launch_mfunc ctx ?tcode (k : Mach.mfunc) ~grid ~block ~(args : Konst.t array) :
     unit =
   Clock.advance ctx.clock ctx.cost.Costmodel.launch_s;
-  let tcode = if ctx.exec_reference then None else get_tcode ctx ?tcode k in
+  let tcode = get_tcode ctx ?tcode k in
   let domains = if ctx.exec_domains > 0 then Some ctx.exec_domains else None in
   let result =
-    Exec.launch ~reference:ctx.exec_reference ?domains ?tcode ~device:ctx.device
+    Exec.launch ?sites:ctx.exec_sites ?domains ~tcode ~device:ctx.device
       ~mem:ctx.mem ~l2:ctx.l2 ~symbols:(symbols_fn ctx) k ~grid ~block ~args
   in
   let report =

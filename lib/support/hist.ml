@@ -1,6 +1,6 @@
 (* Fixed-size log-bucketed latency histogram: O(1) record, O(buckets)
    percentile estimation, no allocation after [create]. Values are
-   seconds; buckets are powers of two in microseconds, so the relative
+   seconds; buckets are powers of two in nanoseconds, so the relative
    error of a percentile estimate is bounded by the bucket width (at
    most 2x, in practice ~1.4x with the geometric-midpoint estimator).
    That is plenty for p50/p90/p99 reporting - the alternative (keeping
@@ -10,8 +10,10 @@
    domains serialize around it (Cachestore does, under its store
    mutex). *)
 
-(* bucket 0: [0, 1us); bucket i>=1: [2^(i-1), 2^i) us; the last bucket
-   absorbs everything above ~2^61 us (decades - effectively +inf). *)
+(* bucket 0: [0, 1ns); bucket i>=1: [2^(i-1), 2^i) ns; the last bucket
+   absorbs everything above 2^61 ns (~73 years - effectively +inf).
+   Nanosecond units keep sub-microsecond latencies (warm cache hits)
+   apart instead of collapsing them into one bucket. *)
 let nbuckets = 63
 
 type t = {
@@ -34,10 +36,10 @@ let clear t =
   Array.fill t.buckets 0 nbuckets 0
 
 let bucket_of_seconds (s : float) : int =
-  let us = s *. 1e6 in
-  if us < 1.0 then 0
+  let ns = s *. 1e9 in
+  if ns < 1.0 then 0
   else
-    let b = 1 + int_of_float (Float.log2 us) in
+    let b = 1 + int_of_float (Float.log2 ns) in
     if b >= nbuckets then nbuckets - 1 else b
 
 let record t (s : float) =
@@ -56,10 +58,10 @@ let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
 (* Representative value for bucket [b], in seconds: the geometric
    midpoint of the bucket's range (arithmetic for bucket 0). *)
 let bucket_value (b : int) : float =
-  if b = 0 then 0.5e-6
+  if b = 0 then 0.5e-9
   else
     let lo = Float.of_int (1 lsl (b - 1)) in
-    lo *. sqrt 2.0 *. 1e-6
+    lo *. sqrt 2.0 *. 1e-9
 
 (* Estimate the [q]-quantile (q in [0,1]) by walking the cumulative
    bucket counts; the estimate is clamped into [min, max] so a

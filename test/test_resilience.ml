@@ -79,7 +79,16 @@ let test_hist_percentiles_monotone () =
      the right half of the distribution *)
   Alcotest.(check bool) "p50 plausible" true (p50 >= 0.025 && p50 <= 0.1);
   Alcotest.(check bool) "p99 within max" true (p99 <= 0.1);
-  check Alcotest.int "count" 100 (Hist.count h)
+  check Alcotest.int "count" 100 (Hist.count h);
+  (* sub-microsecond skewed sample (warm-hit latencies): the buckets
+     must resolve it, not collapse p50 and p99 into one value *)
+  let h = Hist.create () in
+  for _ = 1 to 90 do Hist.record h 100e-9 done;
+  for _ = 1 to 10 do Hist.record h 800e-9 done;
+  let p50 = Hist.p50 h and p99 = Hist.p99 h in
+  Alcotest.(check bool) "sub-us p50 < p99" true (p50 < p99);
+  Alcotest.(check bool) "sub-us p50 within 2x" true (p50 >= 50e-9 && p50 <= 200e-9);
+  Alcotest.(check bool) "sub-us p99 within 2x" true (p99 >= 400e-9 && p99 <= 800e-9)
 
 let test_hist_merge_and_clear () =
   let a = Hist.create () and b = Hist.create () in

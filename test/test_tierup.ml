@@ -177,7 +177,6 @@ let test_tcode_invalidation () =
       Tcode.tf = k;
       entry = 0;
       blocks = [||];
-      labels = [||];
       ipdom = [||];
       has_atomics = false;
       has_barriers = false;
